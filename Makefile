@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-json
+.PHONY: ci build vet test race servebench bench bench-json
 
-ci: build vet test race
+ci: build vet test race servebench
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,11 @@ test:
 # under internal/; run them with the race detector.
 race:
 	$(GO) test -race ./internal/...
+
+# servebench is its own module, which the root ./... never reaches: build
+# and vet it so an engine API change that breaks the benchmark fails ci.
+servebench:
+	cd servebench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

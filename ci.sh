@@ -8,6 +8,11 @@ go vet ./...
 go test ./...
 go test -race ./internal/...
 
+# servebench is its own module, so the root `go build ./...` never compiles
+# it: build and vet it here so an engine API change that breaks the
+# benchmark fails CI. -o /dev/null keeps the binary out of the tree.
+(cd servebench && go build -o /dev/null ./... && go vet ./...)
+
 # The extended fault-injection suite (shed-under-saturation with slow-IO
 # faults, build-cache demotion faults) sits behind the faultinject build tag
 # so the hot path carries no test-only hooks by default; run it explicitly.

@@ -7,10 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,30 +170,10 @@ func (c *Coordinator) Manifest() *storage.ShardManifest { return c.manifest }
 // backing).
 func (c *Coordinator) Metrics() *obs.Registry { return c.metrics.reg }
 
-// httpError carries a fan-out failure back to the front-end: a status, a
-// response body (the failing shard's, when there is one) and an optional
-// Retry-After value to propagate.
-type httpError struct {
-	status     int
-	body       []byte
-	message    string
-	retryAfter string
-}
-
-func (e *httpError) write(w http.ResponseWriter) {
-	if e.retryAfter != "" {
-		w.Header().Set("Retry-After", e.retryAfter)
-	}
-	if len(e.body) > 0 {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(e.status)
-		_, _ = w.Write(e.body)
-		return
-	}
-	writeError(w, e.status, errors.New(e.message))
-}
-
-// shardReply is one shard's raw fan-out result.
+// shardReply is one shard's raw reply: a status, body and Retry-After, or
+// the transport error that stopped it. It doubles as what a failed fan-out
+// hands back to the client: the failing shard's reply, or a status with an
+// error.
 type shardReply struct {
 	shard      int
 	status     int
@@ -199,8 +182,23 @@ type shardReply struct {
 	err        error
 }
 
+// write relays a reply to the client: its status, Retry-After and body
+// verbatim, or its status with an error document when it carries an error.
+func (r *shardReply) write(w http.ResponseWriter) {
+	if r.retryAfter != "" {
+		w.Header().Set("Retry-After", r.retryAfter)
+	}
+	if r.err != nil {
+		writeError(w, r.status, r.err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(r.status)
+	_, _ = w.Write(r.body)
+}
+
 // fanout POSTs body to path on the given shards in parallel, each under the
-// per-shard timeout, and returns the replies in shard order. The error
+// per-shard timeout, and returns the replies in shard order. The failure
 // return folds per-shard failures into one front-end failure, scanned in
 // shard order so the mapping is deterministic: a transport fault is 502, a
 // timeout 504, a shard 503 propagates as 503 carrying the LARGEST
@@ -212,10 +210,10 @@ type shardReply struct {
 // own span tree — returned inline in its traced response body, under the
 // same trace id propagated via X-CS-Trace-Id — is grafted beneath it, so the
 // coordinator's tree embeds every shard's admission and per-plan-node spans.
-func (c *Coordinator) fanout(ctx context.Context, path string, body any, shards []int, tid string, span *obs.Span) ([]shardReply, *httpError) {
+func (c *Coordinator) fanout(ctx context.Context, path string, body any, shards []int, tid string, span *obs.Span) ([]shardReply, *shardReply) {
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return nil, &httpError{status: http.StatusInternalServerError, message: err.Error()}
+		return nil, &shardReply{status: http.StatusInternalServerError, err: err}
 	}
 	replies := make([]shardReply, len(shards))
 	var wg sync.WaitGroup
@@ -241,8 +239,8 @@ func (c *Coordinator) fanout(ctx context.Context, path string, body any, shards 
 	}
 	wg.Wait()
 
-	var shed *httpError
-	for _, r := range replies {
+	var shed *shardReply
+	for i, r := range replies {
 		switch {
 		case r.err != nil:
 			c.shardErrors.Add(1)
@@ -250,15 +248,15 @@ func (c *Coordinator) fanout(ctx context.Context, path string, body any, shards 
 			if errors.Is(r.err, context.DeadlineExceeded) {
 				status = http.StatusGatewayTimeout
 			}
-			return nil, &httpError{status: status, message: fmt.Sprintf("shard %d: %v", r.shard, r.err)}
+			return nil, &shardReply{status: status, err: fmt.Errorf("shard %d: %w", r.shard, r.err)}
 		case r.status == http.StatusServiceUnavailable:
 			c.shardErrors.Add(1)
 			if shed == nil || retryAfterSeconds(r.retryAfter) > retryAfterSeconds(shed.retryAfter) {
-				shed = &httpError{status: r.status, body: r.body, retryAfter: r.retryAfter}
+				shed = &replies[i]
 			}
 		case r.status != http.StatusOK:
 			c.shardErrors.Add(1)
-			return nil, &httpError{status: r.status, body: r.body}
+			return nil, &replies[i]
 		}
 	}
 	if shed != nil {
@@ -271,9 +269,16 @@ func (c *Coordinator) callShard(ctx context.Context, path string, body []byte, k
 	c.shardRequests.Add(1)
 	start := time.Now()
 	defer func() { c.metrics.shardLatency[k].Observe(time.Since(start).Seconds()) }()
+	return c.roundTrip(ctx, http.MethodPost, path, bytes.NewReader(body), k, tid)
+}
+
+// roundTrip sends one request to shard k under the per-shard timeout and
+// reads the whole reply. A transport failure past the deadline reports the
+// context's error, which the fan-out maps to 504.
+func (c *Coordinator) roundTrip(ctx context.Context, method, path string, body io.Reader, k int, tid string) shardReply {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.shards[k].url+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, c.shards[k].url+path, body)
 	if err != nil {
 		return shardReply{shard: k, err: err}
 	}
@@ -296,11 +301,10 @@ func (c *Coordinator) callShard(ctx context.Context, path string, body []byte, k
 	return shardReply{shard: k, status: resp.StatusCode, body: raw, retryAfter: resp.Header.Get("Retry-After")}
 }
 
+// retryAfterSeconds reads a Retry-After delay; an absent or unparsable
+// value counts as 0.
 func retryAfterSeconds(s string) int {
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0
-	}
+	n, _ := strconv.Atoi(s)
 	return n
 }
 
@@ -366,31 +370,14 @@ func (c *Coordinator) pruneShard(k int, proj string, filters []matstore.Filter) 
 // a shard engine, so clients (and the csserve client mode) are oblivious to
 // whether they talk to one engine or a fleet.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	m := c.metrics
-	mux.Handle("/query", instrument(m.requests, m.latency, "query", c.handleQuery))
-	mux.Handle("/join", instrument(m.requests, m.latency, "join", c.handleJoin))
-	mux.Handle("/explain", instrument(m.requests, m.latency, "explain", c.handleExplain))
-	mux.Handle("/stats", instrument(m.requests, m.latency, "stats", c.handleStats))
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writePrometheus(w, m.reg)
+	mux := c.metrics.newMux(c.start, map[string]any{"role": "coordinator"}, map[string]http.HandlerFunc{
+		"query":   c.handleQuery,
+		"join":    c.handleJoin,
+		"explain": c.handleExplain,
+		"stats":   c.handleStats,
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		body := healthBody(c.start)
-		body["role"] = "coordinator"
-		writeJSON(w, http.StatusOK, body)
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) { c.handleReady(w, r) })
+	mux.HandleFunc("/readyz", c.handleReady)
 	return mux
-}
-
-// startTrace attaches a new coordinator trace when the request asked for one.
-func (c *Coordinator) startTrace(tid, root string, want bool) *obs.Trace {
-	if !want {
-		return nil
-	}
-	c.metrics.traced.Inc()
-	return obs.NewTrace(tid, root)
 }
 
 // noteSlow is the coordinator's slow-query record (see Server.noteSlow).
@@ -407,367 +394,318 @@ func (c *Coordinator) noteSlow(endpoint, tid, shape string, wall time.Duration, 
 	c.logger.Info("slow query", kv...)
 }
 
-// logFanoutError records a failed scatter-gather in the structured log.
-func (c *Coordinator) logFanoutError(endpoint, tid string, herr *httpError) {
-	msg := herr.message
-	if msg == "" {
-		msg = string(herr.body)
-	}
-	c.logger.Error("fanout failed", "trace_id", tid, "endpoint", endpoint,
-		"status", herr.status, "error", msg)
+// mergeKind names how a fan-out's shard partials combine — the paper's
+// strategies differ only in when partial results merge, and the coordinator
+// lifts that choice onto the wire as this one parameter. The value doubles
+// as the merge span's kind attribute.
+type mergeKind string
+
+const (
+	mergeConcat        mergeKind = "concat"         // range-sharded rows: shard order is global order
+	mergeRowIDKway     mergeKind = "rowid_kway"     // key-partitioned rows: k-way merge by global row id
+	mergeFinalizedAgg  mergeKind = "finalized_agg"  // group-by on the partition key: disjoint groups concat
+	mergeAggStatistics mergeKind = "agg_statistics" // any other aggregation: absorb per-group statistics
+	mergeExplain       mergeKind = "explain"        // plan trees concat under per-shard headers
+)
+
+// route is a request's routing record: all a handler decides, and all the
+// shared pipeline (serve) needs to do the rest.
+type route struct {
+	endpoint string // "query", "join" or "explain": shard path, trace root, log label
+	req      any    // the client's request, relayed as-is over a single-shard route
+	body     any    // the fan-out shard request (limit, partial and rowids resolved)
+	shards   []int
+	kind     mergeKind
+	shape    string // slow-query log rendering
+	trace    bool
+	limit    int               // resolved row limit the merge truncates to
+	fn       operators.AggFunc // agg_statistics only
+	copart   bool              // join only: both sides co-partitioned on the join keys
+	outer    string            // explain only: the projection whose placement heads each tree
 }
 
-// resolveLimit applies the request limit convention (0 = the default cap,
-// negative = all rows) once at the coordinator; shards always receive an
-// explicit limit.
-func resolveLimit(limit int) int {
-	if limit == 0 {
-		return defaultRowLimit
+// serve is the pipeline every coordinator endpoint shares. It decodes the
+// body into dst and asks the handler's build for the route (a build error
+// is the client's: 400). A single-shard route (replicated projections,
+// fully-pruned or one-shard layouts) relays: the shard's response IS the
+// global response, and a traced one carries the shard's own span tree
+// under the propagated trace id. Any other route fans out, decodes and
+// validates the partials, merges them by the route's kind and responds.
+func (c *Coordinator) serve(w http.ResponseWriter, r *http.Request, dst any, build func() (route, error)) {
+	start := time.Now()
+	tid := ensureTraceID(w, r)
+	if !decodeBody(w, r, dst) {
+		return
 	}
-	return limit
+	c.queries.Add(1)
+	rt, err := build()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	path := "/" + rt.endpoint
+	if len(rt.shards) == 1 {
+		c.routedSingle.Add(1)
+		replies, fail := c.fanout(r.Context(), path, rt.req, rt.shards, tid, nil)
+		if fail != nil {
+			fail.write(w)
+		} else {
+			replies[0].write(w)
+		}
+		return
+	}
+	c.fannedOut.Add(1)
+	if rt.copart {
+		c.copartJoins.Add(1)
+	}
+	_, tr := c.metrics.startTrace(r.Context(), tid, "coordinator."+rt.endpoint, rt.trace)
+	fspan := tr.Root().Child("fanout")
+	fspan.SetAttr("parallel", true)
+	fspan.SetAttr("shards", len(rt.shards))
+	if rt.endpoint == "join" {
+		fspan.SetAttr("copartitioned", rt.copart)
+	}
+	replies, fail := c.fanout(r.Context(), path, rt.body, rt.shards, tid, fspan)
+	fspan.End()
+	var parts []*shardPart
+	if fail == nil {
+		parts, fail = c.decodeParts(replies, rt.kind)
+	}
+	if fail != nil {
+		msg := string(fail.body)
+		if fail.err != nil {
+			msg = fail.err.Error()
+		}
+		c.logger.Error("fanout failed", "trace_id", tid, "endpoint", rt.endpoint,
+			"status", fail.status, "error", msg)
+		fail.write(w)
+		return
+	}
+	gspan := tr.Root().Child("merge")
+	gspan.SetAttr("kind", string(rt.kind))
+	resp, rows := c.merge(rt, parts)
+	gspan.SetAttr("rows", rows)
+	gspan.End()
+	wall := time.Since(start)
+	var tj *obs.TraceJSON
+	if tr != nil {
+		tr.Root().End()
+		tj = tr.JSON()
+	}
+	switch m := resp.(type) {
+	case *QueryResponse:
+		m.Wall, m.Trace = wall.Nanoseconds(), tj
+	case *ExplainResponse:
+		m.Wall, m.Trace = wall.Nanoseconds(), tj
+	}
+	c.noteSlow(rt.endpoint, tid, rt.shape, wall, len(rt.shards), tr)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// shardPart is one decoded shard partial: a /query or /join response, or an
+// /explain response, whose plan tree and modeled cost ride alongside the
+// fields the two share.
+type shardPart struct {
+	QueryResponse
+	Tree      string  `json:"tree"`
+	ModeledUS float64 `json:"modeled_total_us"`
+}
+
+// decodeParts decodes the fan-out replies and rejects, as a 502 naming the
+// shard, partials that cannot merge: shards disagreeing on the result
+// columns, or a row-id merge partial whose row ids do not parallel its rows
+// (the k-way merge would silently drop the rows past its last id).
+func (c *Coordinator) decodeParts(replies []shardReply, kind mergeKind) ([]*shardPart, *shardReply) {
+	parts := make([]*shardPart, len(replies))
+	for i, rep := range replies {
+		p := new(shardPart)
+		var reason string
+		switch err := json.Unmarshal(rep.body, p); {
+		case err != nil:
+			reason = "bad response: " + err.Error()
+		case i > 0 && !slices.Equal(p.Columns, parts[0].Columns):
+			reason = fmt.Sprintf("columns %v differ from shard %d's %v", p.Columns, replies[0].shard, parts[0].Columns)
+		case kind == mergeRowIDKway && len(p.RowIDs) != len(p.Rows):
+			reason = fmt.Sprintf("%d row ids for %d rows", len(p.RowIDs), len(p.Rows))
+		}
+		if reason != "" {
+			c.shardErrors.Add(1)
+			return nil, &shardReply{status: http.StatusBadGateway, err: fmt.Errorf("shard %d: %s", rep.shard, reason)}
+		}
+		parts[i] = p
+	}
+	return parts, nil
+}
+
+// merge combines the partials by the route's kind, returning the response
+// and its row count.
+func (c *Coordinator) merge(rt route, parts []*shardPart) (any, int) {
+	if rt.kind == mergeExplain {
+		ex := c.mergeExplainParts(rt.outer, rt.shards, parts)
+		return ex, ex.RowCount
+	}
+	qs := make([]*QueryResponse, len(parts))
+	for i, p := range parts {
+		qs[i] = &p.QueryResponse
+	}
+	var resp *QueryResponse
+	switch rt.kind {
+	case mergeFinalizedAgg:
+		resp = mergeFinalizedAggParts(qs, rt.limit)
+		c.finalizedAggs.Add(1)
+	case mergeAggStatistics:
+		resp = mergeAggParts(qs, rt.fn, rt.limit)
+		c.aggMerges.Add(1)
+	case mergeRowIDKway:
+		resp = mergeRowIDParts(qs, rt.limit)
+		c.rowidMerges.Add(1)
+	default:
+		resp = mergeRowParts(qs, rt.limit)
+	}
+	return resp, resp.RowCount
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	tid := ensureTraceID(w, r)
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	c.queries.Add(1)
-	filters, err := parseWhereList(req.Where)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	shards, err := c.shardsFor(req.Projection, filters)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(shards) == 1 {
-		// Single-shard routes (replicated projections, fully-pruned or
-		// one-shard layouts) pass through: the shard's response IS the
-		// global response (a traced one carries the shard's own span tree
-		// under the propagated trace id).
-		c.routedSingle.Add(1)
-		c.passthrough(w, r.Context(), "/query", req, shards[0], tid)
-		return
-	}
-	c.fannedOut.Add(1)
-	tr := c.startTrace(tid, "coordinator.query", req.Trace)
-
-	pl, _ := c.manifest.Placement(req.Projection)
-	keyPart := pl.KeyPartitioned()
-	aggregating := req.GroupBy != "" && req.AggCol != ""
-	// Finalization pushdown: when the group-by key IS the partition key,
-	// group keys are disjoint across shards — no group spans two shards — so
-	// each shard's finalized rows are the global answer for its groups. No
-	// statistics wire, no AbsorbGroups pass.
-	finalized := aggregating && keyPart && req.GroupBy == pl.Partition.Column
-	var fn operators.AggFunc
-	if aggregating && !finalized && req.Agg != "" {
-		if fn, err = operators.ParseAggFunc(req.Agg); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+	c.serve(w, r, &req, func() (route, error) {
+		filters, err := parseWhereList(req.Where)
+		if err != nil {
+			return route{}, err
 		}
-	}
-	lim := resolveLimit(req.Limit)
-	shardReq := req
-	// Limit pushdown: each shard's rows are a global-order prefix source
-	// (range shards: shard order is global order; key-partitioned shards:
-	// a global-order subsequence, so any of the first lim global rows has
-	// fewer than lim predecessors on its own shard). Finalized aggregations
-	// push the limit too — shards emit sorted by key, and the global
-	// smallest lim keys are among the union of per-shard smallest lim.
-	// Statistics-merged aggregations need every group regardless.
-	shardReq.Limit = lim
-	switch {
-	case finalized:
-		// Plain aggregation on each shard: finalized rows, sorted by key.
-	case aggregating:
-		shardReq.Partial = true
-		shardReq.Limit = -1
-	case keyPart:
-		shardReq.RowIDs = true
-	default:
-		shardReq.Partial = true
-	}
-	fspan := tr.Root().Child("fanout")
-	fspan.SetAttr("parallel", true)
-	fspan.SetAttr("shards", len(shards))
-	replies, herr := c.fanout(r.Context(), "/query", shardReq, shards, tid, fspan)
-	fspan.End()
-	if herr != nil {
-		c.logFanoutError("query", tid, herr)
-		herr.write(w)
-		return
-	}
-	parts := make([]*QueryResponse, len(replies))
-	for i, rep := range replies {
-		parts[i] = new(QueryResponse)
-		if err := json.Unmarshal(rep.body, parts[i]); err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Errorf("shard %d: bad response: %w", rep.shard, err))
-			return
+		shards, err := c.shardsFor(req.Projection, filters)
+		if err != nil {
+			return route{}, err
 		}
-	}
-	gspan := tr.Root().Child("merge")
-	var resp *QueryResponse
-	switch {
-	case finalized:
-		resp = mergeFinalizedAggParts(parts, lim)
-		c.finalizedAggs.Add(1)
-		gspan.SetAttr("kind", "finalized_agg")
-	case aggregating:
-		resp = mergeAggParts(parts, fn, lim)
-		c.aggMerges.Add(1)
-		gspan.SetAttr("kind", "agg_statistics")
-	case keyPart:
-		resp = mergeRowIDParts(parts, lim)
-		c.rowidMerges.Add(1)
-		gspan.SetAttr("kind", "rowid_kway")
-	default:
-		resp = mergeRowParts(parts, lim)
-		gspan.SetAttr("kind", "concat")
-	}
-	gspan.SetAttr("rows", resp.RowCount)
-	gspan.End()
-	resp.Wall = time.Since(start).Nanoseconds()
-	if tr != nil {
-		tr.Root().End()
-		resp.Trace = tr.JSON()
-	}
-	c.noteSlow("query", tid, req.shape(), time.Since(start), len(shards), tr)
-	writeJSON(w, http.StatusOK, resp)
+		rt := route{endpoint: "query", req: req, shards: shards, kind: mergeConcat,
+			shape: req.shape(), trace: req.Trace, limit: resolveLimit(req.Limit)}
+		pl, _ := c.manifest.Placement(req.Projection)
+		aggregating := req.GroupBy != "" && req.AggCol != ""
+		shardReq := req
+		// Limit pushdown: each shard's rows are a global-order prefix source
+		// (range shards: shard order is global order; key-partitioned shards:
+		// a global-order subsequence, so any of the first lim global rows has
+		// fewer than lim predecessors on its own shard). Finalized aggregations
+		// push the limit too — shards emit sorted by key, and the global
+		// smallest lim keys are among the union of per-shard smallest lim.
+		// Statistics-merged aggregations need every group regardless.
+		shardReq.Limit = rt.limit
+		switch {
+		case aggregating && pl.KeyPartitioned() && req.GroupBy == pl.Partition.Column:
+			// Finalization pushdown: when the group-by key IS the partition
+			// key, group keys are disjoint across shards — no group spans two
+			// shards — so each shard's finalized rows (a plain aggregation,
+			// sorted by key) are the global answer for its groups. No
+			// statistics wire, no AbsorbGroups pass.
+			rt.kind = mergeFinalizedAgg
+		case aggregating:
+			rt.kind = mergeAggStatistics
+			shardReq.Partial, shardReq.Limit = true, -1
+			if req.Agg != "" {
+				if rt.fn, err = operators.ParseAggFunc(req.Agg); err != nil {
+					return route{}, err
+				}
+			}
+		case pl.KeyPartitioned():
+			rt.kind = mergeRowIDKway
+			shardReq.RowIDs = true
+		default:
+			shardReq.Partial = true
+		}
+		rt.body = shardReq
+		return rt, nil
+	})
 }
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	tid := ensureTraceID(w, r)
 	var req JoinRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	c.queries.Add(1)
-	filters, err := parseWhereList(req.Where)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	leftPl, lok := c.manifest.Placement(req.Left)
-	rightPl, rok := c.manifest.Placement(req.Right)
-	if !lok || !rok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("join tables %q, %q must both be in the shard manifest", req.Left, req.Right))
-		return
-	}
-	// Shard-local join correctness: every shard probes its slice of the
-	// outer table against everything its key could match. Two ways to get
-	// that: the inner side is replicated (every shard holds the full inner
-	// table), or both sides are CO-PARTITIONED on the join keys — the same
-	// hash scheme with equal shard counts puts every matching inner row on
-	// the probing row's own shard, so no replication is needed. Anything
-	// else with a sharded right side cannot run shard-local (or there is
-	// only one shard and locality is trivial).
-	copart := copartitioned(leftPl, rightPl, req.LeftKey, req.RightKey)
-	if rightPl.Sharded && c.manifest.NumShards > 1 && !copart {
-		writeError(w, http.StatusBadRequest, copartitionError(req, leftPl, rightPl))
-		return
-	}
-	var shards []int
-	if leftPl.Sharded {
-		if shards, err = c.shardsFor(req.Left, filters); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+	c.serve(w, r, &req, func() (route, error) {
+		filters, err := parseWhereList(req.Where)
+		if err != nil {
+			return route{}, err
 		}
-	} else {
-		shards = []int{int(c.rr.Add(1)-1) % len(c.shards)}
-	}
-	if len(shards) == 1 {
-		c.routedSingle.Add(1)
-		c.passthrough(w, r.Context(), "/join", req, shards[0], tid)
-		return
-	}
-	c.fannedOut.Add(1)
-	if copart {
-		c.copartJoins.Add(1)
-	}
-	tr := c.startTrace(tid, "coordinator.join", req.Trace)
-
-	lim := resolveLimit(req.Limit)
-	shardReq := req
-	shardReq.Limit = lim
-	if leftPl.KeyPartitioned() {
-		shardReq.RowIDs = true
-	}
-	fspan := tr.Root().Child("fanout")
-	fspan.SetAttr("parallel", true)
-	fspan.SetAttr("shards", len(shards))
-	fspan.SetAttr("copartitioned", copart)
-	replies, herr := c.fanout(r.Context(), "/join", shardReq, shards, tid, fspan)
-	fspan.End()
-	if herr != nil {
-		c.logFanoutError("join", tid, herr)
-		herr.write(w)
-		return
-	}
-	parts := make([]*QueryResponse, len(replies))
-	for i, rep := range replies {
-		parts[i] = new(QueryResponse)
-		if err := json.Unmarshal(rep.body, parts[i]); err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Errorf("shard %d: bad response: %w", rep.shard, err))
-			return
+		leftPl, lok := c.manifest.Placement(req.Left)
+		rightPl, rok := c.manifest.Placement(req.Right)
+		if !lok || !rok {
+			return route{}, fmt.Errorf("join tables %q, %q must both be in the shard manifest", req.Left, req.Right)
 		}
-	}
-	gspan := tr.Root().Child("merge")
-	var resp *QueryResponse
-	if leftPl.KeyPartitioned() {
-		resp = mergeRowIDParts(parts, lim)
-		c.rowidMerges.Add(1)
-		gspan.SetAttr("kind", "rowid_kway")
-	} else {
-		resp = mergeRowParts(parts, lim)
-		gspan.SetAttr("kind", "concat")
-	}
-	gspan.SetAttr("rows", resp.RowCount)
-	gspan.End()
-	resp.Wall = time.Since(start).Nanoseconds()
-	if tr != nil {
-		tr.Root().End()
-		resp.Trace = tr.JSON()
-	}
-	c.noteSlow("join", tid, req.shape(), time.Since(start), len(shards), tr)
-	writeJSON(w, http.StatusOK, resp)
+		// Shard-local join correctness: every shard probes its slice of the
+		// outer table against everything its key could match. Two ways to get
+		// that: the inner side is replicated (every shard holds the full inner
+		// table), or both sides are CO-PARTITIONED on the join keys — the same
+		// hash scheme with equal shard counts puts every matching inner row on
+		// the probing row's own shard, so no replication is needed. Anything
+		// else with a sharded right side cannot run shard-local (or there is
+		// only one shard and locality is trivial).
+		copart := copartitioned(leftPl, rightPl, req.LeftKey, req.RightKey)
+		if rightPl.Sharded && c.manifest.NumShards > 1 && !copart {
+			return route{}, copartitionError(req, leftPl, rightPl)
+		}
+		shards, err := c.shardsFor(req.Left, filters)
+		if err != nil {
+			return route{}, err
+		}
+		rt := route{endpoint: "join", req: req, shards: shards, kind: mergeConcat,
+			shape: req.shape(), trace: req.Trace, limit: resolveLimit(req.Limit), copart: copart}
+		shardReq := req
+		shardReq.Limit = rt.limit
+		if leftPl.KeyPartitioned() {
+			rt.kind, shardReq.RowIDs = mergeRowIDKway, true
+		}
+		rt.body = shardReq
+		return rt, nil
+	})
 }
 
 func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	tid := ensureTraceID(w, r)
 	var raw json.RawMessage
-	if !decodeBody(w, r, &raw) {
-		return
-	}
-	c.queries.Add(1)
-	var probe struct {
-		Projection string `json:"projection"`
-		Left       string `json:"left"`
-		Right      string `json:"right"`
-		Trace      bool   `json:"trace"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	outer := probe.Projection
-	if probe.Right != "" {
-		outer = probe.Left
-	}
-	pl, ok := c.manifest.Placement(outer)
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("projection %q not in shard manifest", outer))
-		return
-	}
-	// Explain fans to every shard holding rows — no pruning, the point is
-	// to see each shard's plan — and concatenates the trees under per-shard
-	// global row-range (or hash-scheme) headers.
-	var shards []int
-	switch {
-	case pl.KeyPartitioned():
-		for k := range c.shards {
-			shards = append(shards, k)
+	c.serve(w, r, &raw, func() (route, error) {
+		// One body shape for both, as on the engine: a "right" table makes it
+		// a join explain, routed by its outer (left) table.
+		var j JoinRequest
+		if err := json.Unmarshal(raw, &j); err != nil {
+			return route{}, err
 		}
-	case pl.Sharded:
-		for k, rg := range pl.Ranges {
-			if rg.Len() > 0 {
-				shards = append(shards, k)
+		rt := route{endpoint: "explain", req: raw, body: raw, kind: mergeExplain,
+			outer: j.Left, shape: j.shape(), trace: j.Trace}
+		if j.Right == "" {
+			var q QueryRequest
+			if err := json.Unmarshal(raw, &q); err != nil {
+				return route{}, err
 			}
+			rt.outer, rt.shape = q.Projection, q.shape()
 		}
-		if len(shards) == 0 {
-			shards = []int{0}
-		}
-	default:
-		shards = []int{int(c.rr.Add(1)-1) % len(c.shards)}
-	}
-	if len(shards) == 1 {
-		c.routedSingle.Add(1)
-		c.passthrough(w, r.Context(), "/explain", raw, shards[0], tid)
-		return
-	}
-	c.fannedOut.Add(1)
-	tr := c.startTrace(tid, "coordinator.explain", probe.Trace)
-	fspan := tr.Root().Child("fanout")
-	fspan.SetAttr("parallel", true)
-	fspan.SetAttr("shards", len(shards))
-	replies, herr := c.fanout(r.Context(), "/explain", raw, shards, tid, fspan)
-	fspan.End()
-	if herr != nil {
-		c.logFanoutError("explain", tid, herr)
-		herr.write(w)
-		return
-	}
-	merged := ExplainResponse{}
-	var tree bytes.Buffer
-	for i, rep := range replies {
-		var ex ExplainResponse
-		if err := json.Unmarshal(rep.body, &ex); err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Errorf("shard %d: bad response: %w", rep.shard, err))
-			return
-		}
+		// Explain fans to every shard holding rows — no pruning, the point is
+		// to see each shard's plan.
+		var err error
+		rt.shards, err = c.shardsFor(rt.outer, nil)
+		return rt, err
+	})
+}
+
+// mergeExplainParts concatenates the shard plan trees under per-shard
+// global row-range (or hash-scheme) headers; modeled costs and workers add.
+func (c *Coordinator) mergeExplainParts(outer string, shards []int, parts []*shardPart) *ExplainResponse {
+	pl, _ := c.manifest.Placement(outer)
+	out := &ExplainResponse{Strategy: parts[0].Strategy}
+	var tree strings.Builder
+	for i, p := range parts {
 		k := shards[i]
 		if pl.KeyPartitioned() {
 			fmt.Fprintf(&tree, "── shard %d: %s hash(%s) mod %d == %d @ %s ──\n%s",
-				k, outer, pl.Partition.Column, pl.Partition.Shards, k, c.shards[k].url, ex.Tree)
+				k, outer, pl.Partition.Column, pl.Partition.Shards, k, c.shards[k].url, p.Tree)
 		} else {
 			rg := pl.Ranges[k]
 			fmt.Fprintf(&tree, "── shard %d: %s rows [%d,%d) @ %s ──\n%s",
-				k, outer, rg.Start, rg.End, c.shards[k].url, ex.Tree)
+				k, outer, rg.Start, rg.End, c.shards[k].url, p.Tree)
 		}
-		if i == 0 {
-			merged.Strategy = ex.Strategy
-		}
-		merged.ModeledUS += ex.ModeledUS
-		merged.Workers += ex.Workers
+		out.ModeledUS += p.ModeledUS
+		out.Workers += p.Workers
 		// RowCount sums shard partials; for aggregations this counts
 		// per-shard groups, an upper bound on the merged group count.
-		merged.RowCount += ex.RowCount
+		out.RowCount += p.RowCount
 	}
-	merged.Tree = tree.String()
-	merged.Wall = time.Since(start).Nanoseconds()
-	if tr != nil {
-		tr.Root().End()
-		merged.Trace = tr.JSON()
-	}
-	writeJSON(w, http.StatusOK, merged)
-}
-
-// passthrough forwards one request to a single shard and relays the
-// response verbatim (status, Retry-After, body). A traced request's span
-// tree comes back inside the shard's body under the propagated trace id, so
-// relaying verbatim preserves it.
-func (c *Coordinator) passthrough(w http.ResponseWriter, ctx context.Context, path string, body any, shard int, tid string) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	rep := c.callShard(ctx, path, raw, shard, tid)
-	if rep.err != nil {
-		c.shardErrors.Add(1)
-		status := http.StatusBadGateway
-		if errors.Is(rep.err, context.DeadlineExceeded) {
-			status = http.StatusGatewayTimeout
-		}
-		writeError(w, status, fmt.Errorf("shard %d: %w", shard, rep.err))
-		return
-	}
-	if rep.status != http.StatusOK {
-		c.shardErrors.Add(1)
-	}
-	if rep.retryAfter != "" {
-		w.Header().Set("Retry-After", rep.retryAfter)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(rep.status)
-	_, _ = w.Write(rep.body)
+	out.Tree = tree.String()
+	return out
 }
 
 // copartitioned reports whether a join's two sides are co-partitioned on
@@ -810,14 +748,11 @@ func copartitionError(req JoinRequest, leftPl, rightPl storage.ShardPlacement) e
 		req.Left, req.LeftKey, req.Right, req.RightKey)
 }
 
-// mergeRowParts merges selection/join partials: rows concatenate in shard
-// order (shard order is global row order) truncated to the limit, row
-// counts and checksums add (each shard's checksum folds ALL its output
-// rows, so the sum equals the single-engine fold), cache-hit flags AND
-// (the merged response came from caches only if every partial did), and
-// execution counters sum.
-func mergeRowParts(parts []*QueryResponse, limit int) *QueryResponse {
-	out := &QueryResponse{
+// newMergedResponse starts a merged response from the first partial's
+// columns and strategy, with the cache-hit flags set for sumPartCounters to
+// AND into (the merged response came from caches only if every partial did).
+func newMergedResponse(parts []*QueryResponse) *QueryResponse {
+	return &QueryResponse{
 		Columns:        parts[0].Columns,
 		Strategy:       parts[0].Strategy,
 		Rows:           [][]int64{},
@@ -825,6 +760,14 @@ func mergeRowParts(parts []*QueryResponse, limit int) *QueryResponse {
 		PlanCacheHit:   true,
 		BuildCacheHit:  true,
 	}
+}
+
+// mergeRowParts merges selection/join partials: rows concatenate in shard
+// order (shard order is global row order) truncated to the limit, and
+// counters fold as in sumPartCounters (each shard's checksum folds ALL its
+// output rows, so the sum equals the single-engine fold).
+func mergeRowParts(parts []*QueryResponse, limit int) *QueryResponse {
+	out := newMergedResponse(parts)
 	for _, p := range parts {
 		take := p.Rows
 		if limit > 0 {
@@ -865,24 +808,18 @@ func sumPartCounters(out, p *QueryResponse) {
 }
 
 // mergeRowIDParts merges key-partitioned selection/join partials: each
-// shard's rows are a global-order subsequence tagged with global row ids,
+// shard's rows are a global-order subsequence tagged with global row ids
+// (one per row — decodeParts rejects partials where they do not pair up),
 // so a k-way merge by ascending row id restores exactly the global row
 // order (every global row lives on exactly one shard — ids never collide
 // across partials). Counters fold as in mergeRowParts.
 func mergeRowIDParts(parts []*QueryResponse, limit int) *QueryResponse {
-	out := &QueryResponse{
-		Columns:        parts[0].Columns,
-		Strategy:       parts[0].Strategy,
-		Rows:           [][]int64{},
-		ResultCacheHit: true,
-		PlanCacheHit:   true,
-		BuildCacheHit:  true,
-	}
+	out := newMergedResponse(parts)
 	idx := make([]int, len(parts))
 	for limit <= 0 || len(out.Rows) < limit {
 		best := -1
 		for p, part := range parts {
-			if idx[p] >= len(part.Rows) || idx[p] >= len(part.RowIDs) {
+			if idx[p] >= len(part.Rows) {
 				continue
 			}
 			if best < 0 || part.RowIDs[idx[p]] < parts[best].RowIDs[idx[best]] {
@@ -909,14 +846,7 @@ func mergeRowIDParts(parts []*QueryResponse, limit int) *QueryResponse {
 // per-group sum/count/min/max. Row counts and checksums add exactly
 // because no group spans two shards.
 func mergeFinalizedAggParts(parts []*QueryResponse, limit int) *QueryResponse {
-	out := &QueryResponse{
-		Columns:        parts[0].Columns,
-		Strategy:       parts[0].Strategy,
-		Rows:           [][]int64{},
-		ResultCacheHit: true,
-		PlanCacheHit:   true,
-		BuildCacheHit:  true,
-	}
+	out := newMergedResponse(parts)
 	for _, p := range parts {
 		out.Rows = append(out.Rows, p.Rows...)
 		sumPartCounters(out, p)
@@ -931,48 +861,31 @@ func mergeFinalizedAggParts(parts []*QueryResponse, limit int) *QueryResponse {
 // mergeAggParts merges aggregation partials: every shard's exported
 // per-group statistics are absorbed into one fresh Aggregator — the wire
 // form of the executor's Aggregator.Merge — and re-emitted sorted by key,
-// identical to aggregating the un-sharded table. The checksum is recomputed
-// by folding the merged output exactly as the engine's result drain does.
+// identical to aggregating the un-sharded table. Counters fold as in
+// mergeRowParts, but the row count and checksum are recomputed from the
+// merged output (shards' groups overlap), the checksum folding it exactly
+// as the engine's result drain does.
 func mergeAggParts(parts []*QueryResponse, fn operators.AggFunc, limit int) *QueryResponse {
+	out := newMergedResponse(parts)
 	agg := operators.NewAggregator(fn)
 	for _, p := range parts {
 		agg.AbsorbGroups(p.Groups)
+		sumPartCounters(out, p)
 	}
-	cols := parts[0].Columns
-	res := agg.Emit(cols[0], cols[1])
-	n := res.NumRows()
-	var checksum int64
-	for i := 0; i < n; i++ {
+	res := agg.Emit(out.Columns[0], out.Columns[1])
+	out.RowCount, out.Checksum = res.NumRows(), 0
+	for i := 0; i < out.RowCount; i++ {
 		for c := range res.Cols {
-			checksum += res.Cols[c][i]
+			out.Checksum += res.Cols[c][i]
 		}
 	}
-	shown := n
+	shown := out.RowCount
 	if limit > 0 && shown > limit {
 		shown = limit
 	}
-	rows := make([][]int64, shown)
-	for i := range rows {
-		rows[i] = res.Row(i)
-	}
-	out := &QueryResponse{
-		Columns:        cols,
-		Strategy:       parts[0].Strategy,
-		Rows:           rows,
-		RowCount:       n,
-		Checksum:       checksum,
-		ResultCacheHit: true,
-		PlanCacheHit:   true,
-	}
-	for _, p := range parts {
-		out.Workers += p.Workers
-		out.Morsels += p.Morsels
-		if p.Queued > out.Queued {
-			out.Queued = p.Queued
-		}
-		out.EstCostUS += p.EstCostUS
-		out.ResultCacheHit = out.ResultCacheHit && p.ResultCacheHit
-		out.PlanCacheHit = out.PlanCacheHit && p.PlanCacheHit
+	out.Rows = make([][]int64, shown)
+	for i := range out.Rows {
+		out.Rows[i] = res.Row(i)
 	}
 	return out
 }
@@ -1020,40 +933,16 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:        make([]json.RawMessage, len(c.shards)),
 		ShardTotals:   map[string]any{},
 	}
-	var wg sync.WaitGroup
-	for k := range c.shards {
+	for k, rep := range c.getShards(r.Context(), "/stats") {
 		st.Endpoints = append(st.Endpoints, c.shards[k].url)
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.shards[k].url+"/stats", nil)
-			if err != nil {
-				return
-			}
-			resp, err := c.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			raw, err := io.ReadAll(resp.Body)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				return
-			}
-			st.Shards[k] = raw
-		}(k)
-	}
-	wg.Wait()
-	for _, raw := range st.Shards {
-		if raw == nil {
+		if rep.status != http.StatusOK {
 			continue
 		}
+		st.Shards[k] = rep.body
 		var doc map[string]any
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			continue
+		if json.Unmarshal(rep.body, &doc) == nil {
+			sumJSONNumbers(st.ShardTotals, doc)
 		}
-		sumJSONNumbers(st.ShardTotals, doc)
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -1089,30 +978,10 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 		Ready bool   `json:"ready"`
 	}
 	out := make([]shardReady, len(c.shards))
-	var wg sync.WaitGroup
-	for k := range c.shards {
-		out[k] = shardReady{Shard: k, URL: c.shards[k].url}
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.shards[k].url+"/readyz", nil)
-			if err != nil {
-				return
-			}
-			resp, err := c.client.Do(req)
-			if err != nil {
-				return
-			}
-			resp.Body.Close()
-			out[k].Ready = resp.StatusCode == http.StatusOK
-		}(k)
-	}
-	wg.Wait()
 	ready := true
-	for _, s := range out {
-		ready = ready && s.Ready
+	for k, rep := range c.getShards(r.Context(), "/readyz") {
+		out[k] = shardReady{Shard: k, URL: c.shards[k].url, Ready: rep.status == http.StatusOK}
+		ready = ready && out[k].Ready
 	}
 	status := http.StatusOK
 	if !ready {
@@ -1121,19 +990,25 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]any{"ready": ready, "shards": out})
 }
 
-// sortedProjections returns the manifest's projection names sorted (log and
-// test helper).
-func (c *Coordinator) sortedProjections() []string {
-	names := make([]string, 0, len(c.manifest.Projections))
-	for name := range c.manifest.Projections {
-		names = append(names, name)
+// getShards GETs path from every shard in parallel (status 0 for a shard
+// that did not answer). These control-plane probes bypass callShard so that
+// shard_requests and cs_shard_request_seconds keep counting only fan-out.
+func (c *Coordinator) getShards(ctx context.Context, path string) []shardReply {
+	out := make([]shardReply, len(c.shards))
+	var wg sync.WaitGroup
+	for k := range c.shards {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			out[k] = c.roundTrip(ctx, http.MethodGet, path, nil, k, "")
+		}(k)
 	}
-	sort.Strings(names)
-	return names
+	wg.Wait()
+	return out
 }
 
 // String renders a one-line coordinator description.
 func (c *Coordinator) String() string {
 	return fmt.Sprintf("service.Coordinator{shards=%d, projections=%v, timeout=%s}",
-		c.manifest.NumShards, c.sortedProjections(), c.timeout)
+		c.manifest.NumShards, slices.Sorted(maps.Keys(c.manifest.Projections)), c.timeout)
 }

@@ -7,12 +7,14 @@ package service_test
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -289,81 +291,151 @@ func TestCoordinatorStatsAndReady(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/readyz = %d with all shards up", resp.StatusCode)
 	}
+
+	// The /stats and /readyz shard probes are control-plane traffic: they do
+	// not count as shard requests, which measure query fan-out.
+	var st2 service.CoordinatorStats
+	getJSON(t, fl.URL+"/stats", &st2)
+	if st2.ShardRequests != st.ShardRequests {
+		t.Errorf("shard_requests %d -> %d across /readyz and /stats probes", st.ShardRequests, st2.ShardRequests)
+	}
 }
 
-// TestCoordinatorShardFailures: per-shard timeouts map to 504, refused
-// connections to 502, and a shedding shard's 503 propagates with the
-// largest Retry-After.
+// TestCoordinatorShardFailures pins the coordinator's shard-failure mapping
+// on every fan-out endpoint, both when the request fans out over two shards
+// and when it routes to a single shard (a replicated outer projection): a
+// shedding shard's 503 propagates with the largest Retry-After among the
+// shards the request reached, a shard past the fan-out timeout is 504, a
+// dead shard is 502, and a shard's 400 is relayed with its body verbatim.
 func TestCoordinatorShardFailures(t *testing.T) {
 	root := fmt.Sprintf("%s/s2", shardedData(t))
-
-	// Stub shards: 0 sheds with Retry-After 3, 1 sheds with Retry-After 7.
-	shed := func(after string) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Retry-After", after)
+	routes := []struct {
+		name, path, body string
+		shards           int // shards the route reaches
+	}{
+		{"query fan-out", "/query", `{"projection":"lineitem","output":["shipdate"],"where":["shipdate<3000"],"limit":-1}`, 2},
+		{"query single", "/query", `{"projection":"customer","output":["custkey"],"where":["custkey<25"],"limit":-1}`, 1},
+		{"join fan-out", "/join", `{"left":"orders","right":"customer","leftkey":"custkey","rightkey":"custkey","leftout":["shipdate"],"rightout":["nationcode"]}`, 2},
+		{"join single", "/join", `{"left":"customer","right":"customer","leftkey":"custkey","rightkey":"custkey","leftout":["custkey"],"rightout":["nationcode"]}`, 1},
+		{"explain fan-out", "/explain", `{"projection":"lineitem","output":["shipdate"],"where":["shipdate<400"]}`, 2},
+		{"explain single", "/explain", `{"projection":"customer","output":["custkey"]}`, 1},
+	}
+	// stubs starts two shard stubs; shard k answers with answer(k) and
+	// counts the requests it received.
+	type stubFleet struct {
+		urls []string
+		hits [2]atomic.Int64
+	}
+	stubs := func(t *testing.T, answer func(k int, w http.ResponseWriter)) *stubFleet {
+		f := &stubFleet{}
+		for k := 0; k < 2; k++ {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				f.hits[k].Add(1)
+				answer(k, w)
+			}))
+			t.Cleanup(ts.Close)
+			f.urls = append(f.urls, ts.URL)
+		}
+		return f
+	}
+	retryAfter := []string{"3", "7"}
+	badBody := func(k int) string { return fmt.Sprintf(`{"error":"unknown column from shard %d"}`, k) }
+	cases := []struct {
+		name    string
+		timeout time.Duration
+		answer  func(k int, w http.ResponseWriter) // nil = dead shards
+		check   func(t *testing.T, f *stubFleet, status int, hdr http.Header, body []byte)
+	}{
+		{"shed", 0, func(k int, w http.ResponseWriter) {
+			w.Header().Set("Retry-After", retryAfter[k])
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprint(w, `{"error":"shed"}`)
-		}))
+		}, func(t *testing.T, f *stubFleet, status int, hdr http.Header, body []byte) {
+			want := ""
+			for k := range f.hits {
+				if f.hits[k].Load() > 0 {
+					want = retryAfter[k] // ascending: the last reached is the largest
+				}
+			}
+			if status != http.StatusServiceUnavailable || hdr.Get("Retry-After") != want {
+				t.Errorf("HTTP %d Retry-After %q, want 503 with %q", status, hdr.Get("Retry-After"), want)
+			}
+		}},
+		{"timeout", 50 * time.Millisecond, func(k int, w http.ResponseWriter) {
+			time.Sleep(300 * time.Millisecond)
+			fmt.Fprint(w, `{}`)
+		}, func(t *testing.T, f *stubFleet, status int, hdr http.Header, body []byte) {
+			if status != http.StatusGatewayTimeout {
+				t.Errorf("HTTP %d, want 504", status)
+			}
+		}},
+		{"dead", 0, nil, func(t *testing.T, f *stubFleet, status int, hdr http.Header, body []byte) {
+			if status != http.StatusBadGateway {
+				t.Errorf("HTTP %d, want 502", status)
+			}
+		}},
+		{"bad request", 0, func(k int, w http.ResponseWriter) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			fmt.Fprint(w, badBody(k))
+		}, func(t *testing.T, f *stubFleet, status int, hdr http.Header, body []byte) {
+			first := 0 // failures fold in shard order: the first reached shard's body
+			if f.hits[0].Load() == 0 {
+				first = 1
+			}
+			if status != http.StatusBadRequest || string(body) != badBody(first) {
+				t.Errorf("HTTP %d body %q, want 400 with %q", status, body, badBody(first))
+			}
+		}},
 	}
-	s0, s1 := shed("3"), shed("7")
-	defer s0.Close()
-	defer s1.Close()
-	coord, err := service.NewCoordinator(root, []string{s0.URL, s1.URL}, service.CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		for _, rt := range routes {
+			t.Run(tc.name+"/"+rt.name, func(t *testing.T) {
+				f := &stubFleet{urls: closedURLs(t, 2)}
+				if tc.answer != nil {
+					f = stubs(t, tc.answer)
+				}
+				coord, err := service.NewCoordinator(root, f.urls, service.CoordinatorConfig{ShardTimeout: tc.timeout})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(coord.Handler())
+				defer ts.Close()
+				resp, err := http.Post(ts.URL+rt.path, "application/json", strings.NewReader(rt.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				reached := 0
+				for k := range f.hits {
+					if f.hits[k].Load() > 0 {
+						reached++
+					}
+				}
+				if tc.answer != nil && reached != rt.shards {
+					t.Fatalf("request reached %d shards, want %d", reached, rt.shards)
+				}
+				tc.check(t, f, resp.StatusCode, resp.Header, body)
+			})
+		}
 	}
-	ts := httptest.NewServer(coord.Handler())
-	defer ts.Close()
-	body := `{"projection":"lineitem","output":["shipdate"],"where":["shipdate<3000"],"limit":-1}`
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "7" {
-		t.Errorf("shedding shards: HTTP %d Retry-After %q, want 503 with 7",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
+}
 
-	// Slow shard past the fan-out timeout: 504.
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(300 * time.Millisecond)
-		fmt.Fprint(w, `{}`)
-	}))
-	defer slow.Close()
-	coord2, err := service.NewCoordinator(root, []string{slow.URL, slow.URL}, service.CoordinatorConfig{ShardTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+// closedURLs returns n endpoints whose servers have already shut down, so
+// connecting to them fails.
+func closedURLs(t *testing.T, n int) []string {
+	t.Helper()
+	var urls []string
+	for i := 0; i < n; i++ {
+		ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+		urls = append(urls, ts.URL)
+		ts.Close()
 	}
-	ts2 := httptest.NewServer(coord2.Handler())
-	defer ts2.Close()
-	resp2, err := http.Post(ts2.URL+"/query", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusGatewayTimeout {
-		t.Errorf("slow shards: HTTP %d, want 504", resp2.StatusCode)
-	}
-
-	// Dead shard: 502.
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	deadURL := dead.URL
-	dead.Close()
-	coord3, err := service.NewCoordinator(root, []string{deadURL, deadURL}, service.CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts3 := httptest.NewServer(coord3.Handler())
-	defer ts3.Close()
-	resp3, err := http.Post(ts3.URL+"/query", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadGateway {
-		t.Errorf("dead shards: HTTP %d, want 502", resp3.StatusCode)
-	}
+	return urls
 }
 
 // TestCoordinatorRejectsShardedRightJoin: a join whose inner table is
@@ -533,5 +605,58 @@ func getJSON(t *testing.T, url string, dst any) {
 	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCoordinatorMalformedPartials: shard partials that cannot merge are a
+// 502 naming the shard and the reason, never a 200 with rows silently lost —
+// a row-id merge partial whose row ids do not parallel its rows, and shards
+// disagreeing on the result columns.
+func TestCoordinatorMalformedPartials(t *testing.T) {
+	root := fmt.Sprintf("%s/s2", keypartData(t))
+	body := `{"projection":"orders","output":["custkey","shipdate"],"where":["custkey<100"],"limit":-1}`
+	cases := []struct {
+		name    string
+		answers [2]string
+		reason  string
+	}{
+		{"rows without rowids", [2]string{
+			`{"columns":["custkey","shipdate"],"rows":[[1,10],[3,30]],"rowids":[0,2],"row_count":2,"checksum":44}`,
+			`{"columns":["custkey","shipdate"],"rows":[[2,20],[4,40]],"row_count":2,"checksum":66}`,
+		}, "shard 1: 0 row ids for 2 rows"},
+		{"columns differ", [2]string{
+			`{"columns":["custkey","shipdate"],"rows":[[1,10]],"rowids":[0],"row_count":1,"checksum":11}`,
+			`{"columns":["custkey"],"rows":[[2]],"rowids":[1],"row_count":1,"checksum":2}`,
+		}, `shard 1: columns [custkey] differ from shard 0's [custkey shipdate]`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var urls []string
+			for k := 0; k < 2; k++ {
+				answer := tc.answers[k]
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					w.Header().Set("Content-Type", "application/json")
+					fmt.Fprint(w, answer)
+				}))
+				defer ts.Close()
+				urls = append(urls, ts.URL)
+			}
+			coord, err := service.NewCoordinator(root, urls, service.CoordinatorConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(coord.Handler())
+			defer ts.Close()
+			resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e map[string]string
+			_ = json.NewDecoder(resp.Body).Decode(&e)
+			if resp.StatusCode != http.StatusBadGateway || !strings.Contains(e["error"], tc.reason) {
+				t.Errorf("HTTP %d error %q, want 502 naming %q", resp.StatusCode, e["error"], tc.reason)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
 	"runtime"
@@ -143,23 +144,25 @@ type ExplainResponse struct {
 
 const defaultRowLimit = 100
 
+// resolveLimit applies the request limit convention: 0 = the default cap,
+// negative = all rows. The coordinator resolves it once, so shards always
+// receive an explicit limit.
+func resolveLimit(limit int) int {
+	if limit == 0 {
+		return defaultRowLimit
+	}
+	return limit
+}
+
 // Handler returns the server's HTTP mux.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	m := s.metrics
-	mux.Handle("/query", instrument(m.requests, m.latency, "query", s.handleQuery))
-	mux.Handle("/join", instrument(m.requests, m.latency, "join", s.handleJoin))
-	mux.Handle("/explain", instrument(m.requests, m.latency, "explain", s.handleExplain))
-	mux.Handle("/stats", instrument(m.requests, m.latency, "stats",
-		func(w http.ResponseWriter, r *http.Request) {
+	mux := s.metrics.newMux(s.start, nil, map[string]http.HandlerFunc{
+		"query":   s.handleQuery,
+		"join":    s.handleJoin,
+		"explain": s.handleExplain,
+		"stats": func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, s.Stats())
-		}))
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writePrometheus(w, m.reg)
-	})
-	// Liveness: the process is up and serving HTTP — always 200.
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, healthBody(s.start))
+		},
 	})
 	// Readiness: 503 while draining (SIGTERM received, connections finishing)
 	// or under memory pressure (requests queued for byte reservations), so a
@@ -200,9 +203,37 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// newMux builds the endpoint surface the engine and the coordinator share,
+// so clients (and the csserve client mode) are oblivious to whether they
+// talk to one engine or a fleet: the request endpoints, instrumented;
+// /metrics in Prometheus text; and /healthz, the liveness probe — always 200
+// while the process serves HTTP — with the caller's health fields added.
+func (m *requestMetrics) newMux(start time.Time, health map[string]any, endpoints map[string]http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	for name, h := range endpoints {
+		mux.Handle("/"+name, m.instrument(name, h))
+	}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		m.reg.WritePrometheus(w)
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		body := map[string]any{
+			"status":         "ok",
+			"version":        obs.Version,
+			"go":             runtime.Version(),
+			"pid":            os.Getpid(),
+			"uptime_seconds": time.Since(start).Seconds(),
+		}
+		maps.Copy(body, health)
+		writeJSON(w, http.StatusOK, body)
+	})
+	return mux
+}
+
 // instrument wraps an endpoint handler to count requests and observe latency
-// by endpoint × outcome. Shared by the engine server and the coordinator.
-func instrument(requests *obs.CounterVec, latency *obs.HistogramVec, endpoint string, h http.HandlerFunc) http.Handler {
+// by endpoint × outcome.
+func (m *requestMetrics) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
@@ -212,26 +243,9 @@ func instrument(requests *obs.CounterVec, latency *obs.HistogramVec, endpoint st
 			status = http.StatusOK
 		}
 		outcome := outcomeOf(status)
-		requests.With(endpoint, outcome).Inc()
-		latency.With(endpoint, outcome).Observe(time.Since(start).Seconds())
+		m.requests.With(endpoint, outcome).Inc()
+		m.latency.With(endpoint, outcome).Observe(time.Since(start).Seconds())
 	})
-}
-
-// writePrometheus serves a registry in Prometheus text exposition format.
-func writePrometheus(w http.ResponseWriter, reg *obs.Registry) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w)
-}
-
-// healthBody is the enriched /healthz payload both serving processes return.
-func healthBody(start time.Time) map[string]any {
-	return map[string]any{
-		"status":         "ok",
-		"version":        obs.Version,
-		"go":             runtime.Version(),
-		"pid":            os.Getpid(),
-		"uptime_seconds": time.Since(start).Seconds(),
-	}
 }
 
 // ensureTraceID resolves the request's trace id — the propagated
@@ -247,51 +261,53 @@ func ensureTraceID(w http.ResponseWriter, r *http.Request) string {
 	return tid
 }
 
-func (r QueryRequest) build() (matstore.Query, error) {
-	filters, err := parseWhereList(r.Where)
+// resolveQuery turns a /query (or selection /explain) body into the engine
+// query and its strategy, consulting the cost model for "advise" (the
+// advisor needs at least one filter; it falls back to LM-parallel
+// otherwise, the paper's all-round default). rowids appends the hidden
+// row-id column to the outputs first. An error is the client's.
+func (s *Server) resolveQuery(req QueryRequest, rowids bool) (matstore.Query, matstore.Strategy, error) {
+	filters, err := parseWhereList(req.Where)
 	if err != nil {
-		return matstore.Query{}, err
+		return matstore.Query{}, 0, err
 	}
 	q := matstore.Query{
-		Output:      r.Output,
+		Output:      req.Output,
 		Filters:     filters,
-		GroupBy:     r.GroupBy,
-		AggCol:      r.AggCol,
-		Parallelism: r.Parallelism,
+		GroupBy:     req.GroupBy,
+		AggCol:      req.AggCol,
+		Parallelism: req.Parallelism,
 	}
-	if r.Agg != "" {
-		if q.Agg, err = matstore.ParseAggFunc(r.Agg); err != nil {
-			return matstore.Query{}, err
+	if req.Agg != "" {
+		if q.Agg, err = matstore.ParseAggFunc(req.Agg); err != nil {
+			return q, 0, err
 		}
 	}
-	return q, nil
-}
-
-// strategyFor resolves the request strategy, consulting the cost model for
-// "advise" (the advisor needs at least one filter; it falls back to
-// LM-parallel otherwise, the paper's all-round default).
-func (s *Server) strategyFor(name, projection string, q matstore.Query) (matstore.Strategy, error) {
-	switch name {
+	if rowids {
+		q.Output = append(append([]string{}, q.Output...), storage.RowIDColumn)
+	}
+	switch req.Strategy {
 	case "", "advise":
-		if name == "advise" && len(q.Filters) > 0 {
-			adv, err := s.db.AdviseParallel(projection, q, s.cfg.WorkerBudget)
+		if req.Strategy == "advise" && len(q.Filters) > 0 {
+			adv, err := s.db.AdviseParallel(req.Projection, q, s.cfg.WorkerBudget)
 			if err != nil {
-				return 0, err
+				return q, 0, err
 			}
-			return adv.Best, nil
+			return q, adv.Best, nil
 		}
-		return matstore.LMParallel, nil
+		return q, matstore.LMParallel, nil
 	default:
-		return matstore.ParseStrategy(name)
+		strat, err := matstore.ParseStrategy(req.Strategy)
+		return q, strat, err
 	}
 }
 
 // startTrace attaches a new trace to ctx when the request asked for one.
-func (s *Server) startTrace(ctx context.Context, tid, root string, want bool) (context.Context, *obs.Trace) {
+func (m *requestMetrics) startTrace(ctx context.Context, tid, root string, want bool) (context.Context, *obs.Trace) {
 	if !want {
 		return ctx, nil
 	}
-	s.metrics.traced.Inc()
+	m.traced.Inc()
 	tr := obs.NewTrace(tid, root)
 	return obs.ContextWithSpan(ctx, tr.Root()), tr
 }
@@ -359,26 +375,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	q, err := req.build()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	rowids := req.RowIDs && req.GroupBy == "" && req.AggCol == ""
-	if rowids {
-		q.Output = append(append([]string{}, q.Output...), storage.RowIDColumn)
-	}
-	strat, err := s.strategyFor(req.Strategy, req.Projection, q)
+	q, strat, err := s.resolveQuery(req, rowids)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, tr := s.startTrace(r.Context(), tid, "query", req.Trace)
+	ctx, tr := s.metrics.startTrace(r.Context(), tid, "query", req.Trace)
 	out, err := s.NewSession().Select(ctx, req.Projection, q, strat)
 	if err != nil {
-		s.logger.Error("query failed", "trace_id", tid, "endpoint", "query",
-			"shape", req.shape(), "error", err.Error())
-		writeServiceError(w, err)
+		s.fail(w, "query", tid, req.shape(), err)
 		return
 	}
 	resp := baseResponse(out.Res, out.Stats, out.Info, req.Limit)
@@ -400,57 +406,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (r JoinRequest) build() (matstore.JoinQuery, error) {
-	q := matstore.JoinQuery{
-		LeftKey:     r.LeftKey,
-		LeftPred:    matstore.MatchAll,
-		LeftOutput:  r.LeftOutput,
-		RightKey:    r.RightKey,
-		RightOutput: r.RightOutput,
-		Parallelism: r.Parallelism,
-	}
-	filters, err := parseWhereList(r.Where)
-	if err != nil {
-		return q, err
-	}
-	switch len(filters) {
-	case 0:
-	case 1:
-		if filters[0].Col != q.LeftKey {
-			return q, fmt.Errorf("join where must predicate the outer join key %q, got %q", q.LeftKey, filters[0].Col)
-		}
-		q.LeftPred = filters[0].Pred
-	default:
-		return q, fmt.Errorf("join accepts at most one where predicate, got %d", len(filters))
-	}
-	return q, nil
-}
-
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	tid := ensureTraceID(w, r)
 	var req JoinRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	q, err := req.build()
+	q, rs, err := s.resolveJoin(req, req.RowIDs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.RowIDs {
-		q.LeftOutput = append(append([]string{}, q.LeftOutput...), storage.RowIDColumn)
-	}
-	rs, err := s.rightStrategyFor(req, q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, tr := s.startTrace(r.Context(), tid, "join", req.Trace)
+	ctx, tr := s.metrics.startTrace(r.Context(), tid, "join", req.Trace)
 	out, err := s.NewSession().Join(ctx, req.Left, req.Right, q, rs)
 	if err != nil {
-		s.logger.Error("join failed", "trace_id", tid, "endpoint", "join",
-			"shape", req.shape(), "error", err.Error())
-		writeServiceError(w, err)
+		s.fail(w, "join", tid, req.shape(), err)
 		return
 	}
 	resp := baseResponse(out.Res, &out.Stats.Stats, out.Info, req.Limit)
@@ -474,21 +444,56 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// rightStrategyFor resolves the inner-table strategy, consulting the
-// Section 4.3 cost terms for "advise".
-func (s *Server) rightStrategyFor(req JoinRequest, q matstore.JoinQuery) (matstore.RightStrategy, error) {
+// resolveJoin turns a /join (or join /explain) body into the engine join
+// query and its inner-table strategy, consulting the Section 4.3 cost terms
+// for "advise". rowids appends the hidden row-id column to the left
+// outputs first. An error is the client's.
+func (s *Server) resolveJoin(req JoinRequest, rowids bool) (matstore.JoinQuery, matstore.RightStrategy, error) {
+	q := matstore.JoinQuery{
+		LeftKey:     req.LeftKey,
+		LeftPred:    matstore.MatchAll,
+		LeftOutput:  req.LeftOutput,
+		RightKey:    req.RightKey,
+		RightOutput: req.RightOutput,
+		Parallelism: req.Parallelism,
+	}
+	filters, err := parseWhereList(req.Where)
+	if err != nil {
+		return q, 0, err
+	}
+	switch len(filters) {
+	case 0:
+	case 1:
+		if filters[0].Col != q.LeftKey {
+			return q, 0, fmt.Errorf("join where must predicate the outer join key %q, got %q", q.LeftKey, filters[0].Col)
+		}
+		q.LeftPred = filters[0].Pred
+	default:
+		return q, 0, fmt.Errorf("join accepts at most one where predicate, got %d", len(filters))
+	}
+	if rowids {
+		q.LeftOutput = append(append([]string{}, q.LeftOutput...), storage.RowIDColumn)
+	}
 	switch req.RightStrategy {
 	case "":
-		return matstore.RightMaterialized, nil
+		return q, matstore.RightMaterialized, nil
 	case "advise":
 		adv, err := s.db.AdviseJoin(req.Left, req.Right, q)
 		if err != nil {
-			return 0, err
+			return q, 0, err
 		}
-		return adv.Best, nil
+		return q, adv.Best, nil
 	default:
-		return matstore.ParseRightStrategy(req.RightStrategy)
+		rs, err := matstore.ParseRightStrategy(req.RightStrategy)
+		return q, rs, err
 	}
+}
+
+// fail logs a failed request and maps its error onto an HTTP status.
+func (s *Server) fail(w http.ResponseWriter, endpoint, tid, shape string, err error) {
+	s.logger.Error(endpoint+" failed", "trace_id", tid, "endpoint", endpoint,
+		"shape", shape, "error", err.Error())
+	writeServiceError(w, err)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -506,58 +511,43 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, tr := s.startTrace(r.Context(), tid, "explain", probe.Trace)
+	ctx, tr := s.metrics.startTrace(r.Context(), tid, "explain", probe.Trace)
 	var (
 		ex    *matstore.Explanation
 		info  Info
 		shape string
+		err   error
 	)
 	if probe.Right != "" {
 		var req JoinRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+		var q matstore.JoinQuery
+		var rs matstore.RightStrategy
+		if err = json.Unmarshal(raw, &req); err == nil {
+			shape = req.shape()
+			q, rs, err = s.resolveJoin(req, false)
 		}
-		shape = req.shape()
-		q, err := req.build()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		rs, err := s.rightStrategyFor(req, q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if ex, info, err = s.NewSession().ExplainJoin(ctx, req.Left, req.Right, q, rs); err != nil {
-			s.logger.Error("explain failed", "trace_id", tid, "endpoint", "explain",
-				"shape", shape, "error", err.Error())
-			writeServiceError(w, err)
-			return
-		}
+		ex, info, err = s.NewSession().ExplainJoin(ctx, req.Left, req.Right, q, rs)
 	} else {
 		var req QueryRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+		var q matstore.Query
+		var strat matstore.Strategy
+		if err = json.Unmarshal(raw, &req); err == nil {
+			shape = req.shape()
+			q, strat, err = s.resolveQuery(req, false)
 		}
-		shape = req.shape()
-		q, err := req.build()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		strat, err := s.strategyFor(req.Strategy, req.Projection, q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if ex, info, err = s.NewSession().Explain(ctx, req.Projection, q, strat); err != nil {
-			s.logger.Error("explain failed", "trace_id", tid, "endpoint", "explain",
-				"shape", shape, "error", err.Error())
-			writeServiceError(w, err)
-			return
-		}
+		ex, info, err = s.NewSession().Explain(ctx, req.Projection, q, strat)
+	}
+	if err != nil {
+		s.fail(w, "explain", tid, shape, err)
+		return
 	}
 	resp := ExplainResponse{
 		Strategy:  ex.Strategy.String(),
@@ -576,9 +566,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func baseResponse(res *matstore.Result, stats *matstore.Stats, info Info, limit int) *QueryResponse {
-	if limit == 0 {
-		limit = defaultRowLimit
-	}
+	limit = resolveLimit(limit)
 	n := res.NumRows()
 	shown := n
 	if limit > 0 && shown > limit {

@@ -23,24 +23,22 @@ import (
 //
 // All serving series share the cs_ prefix (column store).
 
-// serverMetrics is one engine server's metric set.
-type serverMetrics struct {
+// requestMetrics is the part of the metric set both serving processes (the
+// engine and the coordinator) share: the request instruments plus the
+// process series.
+type requestMetrics struct {
 	reg *obs.Registry
 
 	// requests/latency are observed by the HTTP instrument wrapper.
 	requests *obs.CounterVec   // cs_requests_total{endpoint,outcome}
 	latency  *obs.HistogramVec // cs_request_seconds{endpoint,outcome}
-
-	// Session-path instruments (unlabeled: observed on the hot path).
-	queueWait *obs.Histogram // cs_admission_queue_seconds
-	grants    *obs.Histogram // cs_grant_workers
-	traced    *obs.Counter   // cs_traced_requests_total
-	slow      *obs.Counter   // cs_slow_queries_total
+	traced   *obs.Counter      // cs_traced_requests_total
+	slow     *obs.Counter      // cs_slow_queries_total
 }
 
-func newServerMetrics(s *Server) *serverMetrics {
+func newRequestMetrics(start time.Time) requestMetrics {
 	reg := obs.NewRegistry()
-	m := &serverMetrics{
+	m := requestMetrics{
 		reg: reg,
 		requests: reg.NewCounterVec("cs_requests_total",
 			"HTTP requests served, by endpoint and outcome (ok/client_error/server_error/shed/cancelled).",
@@ -48,18 +46,32 @@ func newServerMetrics(s *Server) *serverMetrics {
 		latency: reg.NewHistogramVec("cs_request_seconds",
 			"HTTP request latency in seconds, by endpoint and outcome.",
 			obs.LatencyBuckets(), "endpoint", "outcome"),
-		queueWait: reg.NewHistogram("cs_admission_queue_seconds",
-			"Time requests spent blocked at the admission gate (slot wait plus worker wait).",
-			obs.LatencyBuckets()),
-		grants: reg.NewHistogram("cs_grant_workers",
-			"Granted morsel parallelism per admitted request.",
-			obs.ExpBuckets(1, 2, 8)),
 		traced: reg.NewCounter("cs_traced_requests_total",
 			"Requests that carried \"trace\": true and returned a span tree."),
 		slow: reg.NewCounter("cs_slow_queries_total",
 			"Requests whose wall time crossed the slow-query threshold."),
 	}
-	registerProcessMetrics(reg, s.start)
+	registerProcessMetrics(reg, start)
+	return m
+}
+
+// serverMetrics is one engine server's metric set.
+type serverMetrics struct {
+	requestMetrics
+
+	// Session-path instruments (unlabeled: observed on the hot path).
+	queueWait *obs.Histogram // cs_admission_queue_seconds
+	grants    *obs.Histogram // cs_grant_workers
+}
+
+func newServerMetrics(s *Server) *serverMetrics {
+	m := &serverMetrics{requestMetrics: newRequestMetrics(s.start)}
+	reg := m.reg
+	m.queueWait = reg.NewHistogram("cs_admission_queue_seconds",
+		"Time requests spent blocked at the admission gate (slot wait plus worker wait).",
+		obs.LatencyBuckets())
+	m.grants = reg.NewHistogram("cs_grant_workers",
+		"Granted morsel parallelism per admitted request.", obs.ExpBuckets(1, 2, 8))
 
 	// Everything below derives from the Stats() snapshot at scrape time.
 	reg.NewGaugeFunc("cs_queries", "Total queries accepted by the service layer.",
@@ -114,37 +126,20 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 // coordMetrics is the coordinator's metric set.
 type coordMetrics struct {
-	reg *obs.Registry
-
-	requests *obs.CounterVec   // cs_requests_total{endpoint,outcome}
-	latency  *obs.HistogramVec // cs_request_seconds{endpoint,outcome}
+	requestMetrics
 	// shardLatency is pre-resolved per shard index (With on the hot path
 	// would build a key string per shard call).
 	shardLatency []*obs.Histogram // cs_shard_request_seconds{shard}
-	traced       *obs.Counter
-	slow         *obs.Counter
 }
 
 func newCoordMetrics(c *Coordinator, start time.Time) *coordMetrics {
-	reg := obs.NewRegistry()
-	m := &coordMetrics{
-		reg: reg,
-		requests: reg.NewCounterVec("cs_requests_total",
-			"HTTP requests served, by endpoint and outcome.", "endpoint", "outcome"),
-		latency: reg.NewHistogramVec("cs_request_seconds",
-			"HTTP request latency in seconds, by endpoint and outcome.",
-			obs.LatencyBuckets(), "endpoint", "outcome"),
-		traced: reg.NewCounter("cs_traced_requests_total",
-			"Requests that carried \"trace\": true and returned a span tree."),
-		slow: reg.NewCounter("cs_slow_queries_total",
-			"Requests whose wall time crossed the slow-query threshold."),
-	}
+	m := &coordMetrics{requestMetrics: newRequestMetrics(start)}
+	reg := m.reg
 	shardLat := reg.NewHistogramVec("cs_shard_request_seconds",
 		"Per-shard fan-out request latency in seconds.", obs.LatencyBuckets(), "shard")
 	for k := range c.shards {
 		m.shardLatency = append(m.shardLatency, shardLat.With(shardLabel(k)))
 	}
-	registerProcessMetrics(reg, start)
 	reg.NewGaugeFunc("cs_coordinator_queries", "Queries accepted by the coordinator.",
 		func() float64 { return float64(c.queries.Load()) })
 	reg.NewCollector("cs_shard_requests",

@@ -301,15 +301,25 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// observeAdmission records an admission outcome on the live instruments:
-// the queue-wait histogram and the grant-width histogram. Both are unlabeled
-// (pre-resolved), so the cost is two allocation-free atomic observations.
-func (s *Server) observeAdmission(ai admitInfo) {
-	if s.metrics == nil {
-		return
+// admit passes the admission gate under an "admission" span and returns the
+// granted parallelism with its release. The grant and queue time land on
+// info, the span, and the live queue-wait and grant-width histograms (both
+// unlabeled, so two allocation-free atomic observations).
+func (s *Server) admit(ctx context.Context, span *obs.Span, parallelism int, info *Info) (int, func(), error) {
+	aspan := span.Child("admission")
+	ai, release, err := s.gov.admit(ctx, parallelism, info.EstCostUS)
+	aspan.End()
+	if err != nil {
+		return 0, nil, err
 	}
-	s.metrics.queueWait.Observe((ai.AdmissionWait + ai.WorkerWait).Seconds())
-	s.metrics.grants.Observe(float64(ai.Grant))
+	info.Workers, info.Queued = ai.Grant, ai.AdmissionWait+ai.WorkerWait
+	aspan.SetAttr("grant", ai.Grant)
+	aspan.SetAttr("queued_ns", info.Queued.Nanoseconds())
+	if s.metrics != nil {
+		s.metrics.queueWait.Observe(info.Queued.Seconds())
+		s.metrics.grants.Observe(float64(ai.Grant))
+	}
+	return ai.Grant, release, nil
 }
 
 // RequestError marks a failure attributable to the request itself — unknown
@@ -412,17 +422,11 @@ func (c *Session) Select(ctx context.Context, projection string, q matstore.Quer
 		info.EstCostUS = est.Total()
 	}
 
-	aspan := span.Child("admission")
-	ai, release, err := s.gov.admit(ctx, q.Parallelism, info.EstCostUS)
-	aspan.End()
+	grant, release, err := s.admit(ctx, span, q.Parallelism, &info)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	info.Workers, info.Queued = ai.Grant, ai.AdmissionWait+ai.WorkerWait
-	aspan.SetAttr("grant", ai.Grant)
-	aspan.SetAttr("queued_ns", info.Queued.Nanoseconds())
-	s.observeAdmission(ai)
 
 	p, err := s.store.Projection(projection)
 	if err != nil {
@@ -457,10 +461,10 @@ func (c *Session) Select(ctx context.Context, projection string, q matstore.Quer
 	if traced {
 		consts := s.db.Constants()
 		consts.AnnotatePlan(pl, true)
-		res, stats, err = s.exec.RunPlanWith(pl, strat, ai.Grant,
+		res, stats, err = s.exec.RunPlanWith(pl, strat, grant,
 			plan.RunOptions{Ctx: ctx, Observe: true, Trace: espan})
 	} else {
-		res, stats, err = s.exec.RunPlan(pl, strat, ai.Grant, false)
+		res, stats, err = s.exec.RunPlan(pl, strat, grant, false)
 	}
 	espan.End()
 	if err != nil {
@@ -534,17 +538,11 @@ func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQ
 		mspan.SetAttr("spill_mode", true)
 	}
 
-	aspan := span.Child("admission")
-	ai, release, err := s.gov.admit(ctx, q.Parallelism, info.EstCostUS)
-	aspan.End()
+	grant, release, err := s.admit(ctx, span, q.Parallelism, &info)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	info.Workers, info.Queued = ai.Grant, ai.AdmissionWait+ai.WorkerWait
-	aspan.SetAttr("grant", ai.Grant)
-	aspan.SetAttr("queued_ns", info.Queued.Nanoseconds())
-	s.observeAdmission(ai)
 
 	pspan := span.Child("plan.build")
 	var pl *plan.Plan
@@ -570,7 +568,7 @@ func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQ
 		consts := s.db.Constants()
 		consts.AnnotatePlan(pl, true)
 	}
-	res, stats, err := s.exec.RunJoinPlanWith(pl, ai.Grant,
+	res, stats, err := s.exec.RunJoinPlanWith(pl, grant,
 		plan.RunOptions{Ctx: ctx, Observe: traced, Spill: spillCfg, Trace: espan})
 	espan.End()
 	if err != nil {
@@ -660,18 +658,12 @@ func (c *Session) Explain(ctx context.Context, projection string, q matstore.Que
 	if est, err := s.db.EstimateSelectCost(projection, q, strat); err == nil {
 		info.EstCostUS = est.Total()
 	}
-	aspan := span.Child("admission")
-	ai, release, err := s.gov.admit(ctx, q.Parallelism, info.EstCostUS)
-	aspan.End()
+	grant, release, err := s.admit(ctx, span, q.Parallelism, &info)
 	if err != nil {
 		return nil, info, err
 	}
 	defer release()
 	s.queries.Add(1)
-	info.Workers, info.Queued = ai.Grant, ai.AdmissionWait+ai.WorkerWait
-	aspan.SetAttr("grant", ai.Grant)
-	aspan.SetAttr("queued_ns", info.Queued.Nanoseconds())
-	s.observeAdmission(ai)
 	p, err := s.store.Projection(projection)
 	if err != nil {
 		return nil, info, badRequest(err)
@@ -679,7 +671,7 @@ func (c *Session) Explain(ctx context.Context, projection string, q matstore.Que
 	if err := q.Validate(p); err != nil {
 		return nil, info, badRequest(err)
 	}
-	q.Parallelism = ai.Grant
+	q.Parallelism = grant
 	espan := span.Child("execute")
 	ex, err := s.db.ExplainTraced(projection, q, strat, espan)
 	espan.End()
@@ -694,24 +686,18 @@ func (c *Session) ExplainJoin(ctx context.Context, left, right string, q matstor
 	if est, err := s.db.EstimateJoinCost(left, right, q, rs); err == nil {
 		info.EstCostUS = est.Total()
 	}
-	aspan := span.Child("admission")
-	ai, release, err := s.gov.admit(ctx, q.Parallelism, info.EstCostUS)
-	aspan.End()
+	grant, release, err := s.admit(ctx, span, q.Parallelism, &info)
 	if err != nil {
 		return nil, info, err
 	}
 	defer release()
 	s.queries.Add(1)
-	info.Workers, info.Queued = ai.Grant, ai.AdmissionWait+ai.WorkerWait
-	aspan.SetAttr("grant", ai.Grant)
-	aspan.SetAttr("queued_ns", info.Queued.Nanoseconds())
-	s.observeAdmission(ai)
 	for _, proj := range []string{left, right} {
 		if _, err := s.store.Projection(proj); err != nil {
 			return nil, info, badRequest(err)
 		}
 	}
-	q.Parallelism = ai.Grant
+	q.Parallelism = grant
 	espan := span.Child("execute")
 	ex, err := s.db.ExplainJoinTraced(left, right, q, rs, espan)
 	espan.End()

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"matstore/internal/obs"
@@ -346,4 +347,75 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("coordinator /metrics missing %s:\n%s", want, ctext)
 		}
 	}
+}
+
+// lockedBuffer is a log sink safe to read while handlers may still write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSlowQueryLog: with a 1µs threshold every request is slow, so the
+// engine and a 2-shard coordinator each log exactly one "slow query" line
+// per /query, /join and /explain request, carrying its endpoint and the
+// trace id echoed on the response.
+func TestSlowQueryLog(t *testing.T) {
+	bodies := map[string]string{
+		"query":   `{"projection":"lineitem","output":["shipdate"],"where":["shipdate<400"],"limit":3}`,
+		"join":    `{"left":"orders","right":"customer","leftkey":"custkey","rightkey":"custkey","leftout":["shipdate"],"rightout":["nationcode"],"limit":3}`,
+		"explain": `{"projection":"lineitem","output":["shipdate"],"where":["shipdate<400"]}`,
+	}
+	check := func(t *testing.T, url string, log *lockedBuffer) {
+		t.Helper()
+		tids := map[string]string{}
+		for endpoint, body := range bodies {
+			status, hdr, raw := postRaw(t, url+"/"+endpoint, body)
+			if status != http.StatusOK {
+				t.Fatalf("/%s: HTTP %d: %s", endpoint, status, raw)
+			}
+			tids[endpoint] = hdr.Get(service.TraceIDHeader)
+		}
+		got := map[string][]string{}
+		for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("log line %q: %v", line, err)
+			}
+			if rec["msg"] == "slow query" {
+				ep, _ := rec["endpoint"].(string)
+				tid, _ := rec["trace_id"].(string)
+				got[ep] = append(got[ep], tid)
+			}
+		}
+		for endpoint, tid := range tids {
+			if len(got[endpoint]) != 1 || got[endpoint][0] != tid {
+				t.Errorf("/%s: slow-query trace ids %v, want exactly [%s]", endpoint, got[endpoint], tid)
+			}
+		}
+	}
+	t.Run("engine", func(t *testing.T) {
+		var log lockedBuffer
+		srv := newServer(t, service.Config{WorkerBudget: 2, MaxConcurrent: 4,
+			SlowQueryMicros: 1, Logger: obs.NewLogger(&log)})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		check(t, ts.URL, &log)
+	})
+	t.Run("coordinator", func(t *testing.T) {
+		var log lockedBuffer
+		f := newFleet(t, 2, service.CoordinatorConfig{SlowQueryMicros: 1, Logger: obs.NewLogger(&log)})
+		check(t, f.URL, &log)
+	})
 }
